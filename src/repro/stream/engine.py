@@ -24,7 +24,9 @@ the exact full-rate behaviour:
   every session-side quantity (lag, window, bit period, vote taus)
   scales through the decimation-aware
   :class:`repro.core.decoder.SymBeeDecoder`.  The factor must divide
-  the lag, window and bit period (``gcd = 4`` at 20 Msps, so 1, 2 or 4).
+  the lag and bit period (``gcd = 16`` at 20 Msps; the vote window is
+  floored), and 8 is the practical ceiling, so 1, 2, 4 or 8 — see
+  :func:`repro.stream.frontend.supported_decimations`.
 * ``mode`` — ``"exact"`` (bit-exact block-size invariance) or
   ``"fast"`` (native kernels, mixer folded into the filter taps;
   decode-equivalent).
@@ -58,6 +60,7 @@ from repro.dsp.kernels import cmul, validate_mode
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.runtime.executor import resolve_jobs
+from repro.stream.arbitration import LeakArbiter
 from repro.stream.frontend import (
     ChannelizerFrontEnd,
     FastChannelBank,
@@ -308,9 +311,8 @@ class StreamEngine:
         self.blocks_in = 0
         self.samples_in = 0
         self.frames_out = 0
-        self.frames_suppressed = 0
         #: Emitted frames awaiting cross-session leak arbitration.
-        self._pending = []
+        self._arbiter = LeakArbiter()
         #: Per-channel session stats shipped back by parallel workers
         #: (the local sessions stay idle in a parallel run).
         self._worker_session_stats = None
@@ -325,6 +327,11 @@ class StreamEngine:
     def sessions(self):
         return [path.session for path in self._paths]
 
+    @property
+    def frames_suppressed(self):
+        """Leak copies suppressed by arbitration so far."""
+        return self._arbiter.suppressed
+
     def process_block(self, block):
         """Feed one sample block to every channel; return decoded frames."""
         metered = REGISTRY.enabled
@@ -336,10 +343,10 @@ class StreamEngine:
             if self._bank is not None:
                 fe_blocks = self._bank.process_block(block)
                 for path, fe_block in zip(self._paths, fe_blocks):
-                    self._pending.extend(path.push_front_end_block(fe_block))
+                    self._arbiter.add(path.push_front_end_block(fe_block))
             else:
                 for path in self._paths:
-                    self._pending.extend(path.process_block(block))
+                    self._arbiter.add(path.process_block(block))
             frames = self._release(final=False)
         self.blocks_in += 1
         self.samples_in += int(block.size)
@@ -361,12 +368,12 @@ class StreamEngine:
             if self._bank is not None:
                 fe_blocks = self._bank.flush()
                 for path, fe_block in zip(self._paths, fe_blocks):
-                    self._pending.extend(path.push_front_end_block(fe_block))
+                    self._arbiter.add(path.push_front_end_block(fe_block))
             else:
                 for path in self._paths:
-                    self._pending.extend(path.flush_front_end())
+                    self._arbiter.add(path.flush_front_end())
             for path in self._paths:
-                self._pending.extend(path.session.finish())
+                self._arbiter.add(path.session.finish())
             frames = self._release(final=True)
         self.frames_out += len(frames)
         if frames:
@@ -374,73 +381,29 @@ class StreamEngine:
         return frames
 
     def _release(self, final):
-        """Cross-session leak arbitration over the pending frame pool.
+        """Release every pending frame whose leak arbitration is decided.
 
-        Adjacent sub-bands alias onto the same product phase (their 5 MHz
-        spacing is a multiple of ``fs / lag``), so a strong sender also
-        decodes — attenuated but otherwise faithful — on neighbouring
-        idle sessions.  Among time-overlapping pending frames carrying
-        *identical bits* on different sessions, only the strongest
-        ``band_power`` copy survives (ties break toward the lower channel
-        number, keeping the decision deterministic).
-
-        A frame is held until every session's :attr:`StreamSession.horizon`
-        has passed its end — after that no session can emit anything
-        overlapping it, so the decision is final and independent of block
-        boundaries.  Released frames come out sorted by stream position.
-
-        Incremental (per-block) release and one final whole-pool pass
-        decide identically: demotion keeps every overlap-connected group
-        together until all its members have arrived, and band-power
-        arbitration only ever compares frames within one group — which
-        is why the parallel path can skip incremental release entirely
-        and arbitrate once at the end.
+        Frames wait in the :class:`~repro.stream.arbitration.LeakArbiter`
+        until the minimum session horizon has passed their end (``final``:
+        end of stream, so all of them); each is then judged once against
+        its complete overlap set, and the survivors come out in global
+        ``(preamble_index, zigbee_channel)`` order.  See
+        :mod:`repro.stream.arbitration` for why per-block release and one
+        final pass decide identically.
         """
-        if not self._pending:
+        arbiter = self._arbiter
+        if not arbiter.pending:
             return []
+        before = arbiter.suppressed
         if final:
-            ready, held = list(self._pending), []
+            frames = arbiter.release()
         else:
-            horizon = min(path.session.horizon for path in self._paths)
-            ready, held = [], []
-            for frame in self._pending:
-                (ready if frame.end_index < horizon else held).append(frame)
-            # Arbitration is decided per overlap-connected group: demote
-            # any ready frame overlapping a held one (and cascade), so a
-            # group is only ever judged with all its members present.
-            demoted = True
-            while demoted and ready:
-                demoted = False
-                for frame in list(ready):
-                    if any(
-                        frame.preamble_index < other.end_index
-                        and other.preamble_index < frame.end_index
-                        for other in held
-                    ):
-                        ready.remove(frame)
-                        held.append(frame)
-                        demoted = True
-        if not ready:
-            return []
-        released = []
-        for frame in ready:
-            key = (frame.band_power, -frame.zigbee_channel)
-            beaten = any(
-                other.zigbee_channel != frame.zigbee_channel
-                and other.bits == frame.bits
-                and other.preamble_index < frame.end_index
-                and frame.preamble_index < other.end_index
-                and (other.band_power, -other.zigbee_channel) > key
-                for other in ready
+            frames = arbiter.release(
+                min(path.session.horizon for path in self._paths)
             )
-            if beaten:
-                self.frames_suppressed += 1
-                _SUPPRESSED.inc()
-            else:
-                released.append(frame)
-        self._pending = held
-        released.sort(key=lambda f: (f.preamble_index, f.zigbee_channel))
-        return released
+        if arbiter.suppressed != before:
+            _SUPPRESSED.inc(arbiter.suppressed - before)
+        return frames
 
     def run(self, blocks, jobs=None, collector=None):
         """Drain a block source (any iterable, e.g. a ring) and finish.
@@ -548,7 +511,7 @@ class StreamEngine:
                 collector.drop_side_shards()
             self._worker_session_stats = []
             for frames, session_stats in results:
-                self._pending.extend(frames)
+                self._arbiter.add(frames)
                 self._worker_session_stats.append(session_stats)
             released = self._release(final=True)
         self.blocks_in += n_blocks
